@@ -735,6 +735,7 @@ func main() {
 				if err := cal.Observe(cpu.At(t), fan.Step(i)); err != nil {
 					log.Fatal(err)
 				}
+				cal.Publish()
 				absErrSum += abs(cpu.At(t) - fan.At(i, 0.5))
 			}
 		}

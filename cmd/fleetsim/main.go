@@ -37,6 +37,10 @@
 // the health surface (/healthz, /readyz flipping 503 -> 200 once the
 // fleet is built, /slo, /alerts, /metrics, /journal, /decisions) and
 // keeps serving after the run until interrupted.
+//
+// -cpuprofile writes a CPU profile of the replay (the build is not
+// included) and -memprofile a heap profile taken after it, both
+// readable with `go tool pprof -top`. Neither changes the fleet hash.
 package main
 
 import (
@@ -49,6 +53,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -85,6 +91,8 @@ func main() {
 		metricsOut   = flag.String("metrics", "", "write the Prometheus metrics dump to this file after the run")
 		perTenant    = flag.Bool("per-tenant", true, "include per-tenant records in the summary")
 		decisions    = flag.Bool("decisions", true, "capture tenant-labelled decision records")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
+		memProfile   = flag.String("memprofile", "", "write a heap profile, taken after the replay, to this file")
 
 		sloTarget  = flag.Float64("slo-target", def.SLOTarget, "fleet-wide violation-rate SLO driving the error-budget tracker and burn-rate alerts (0 disables the SLO plane; never changes decisions)")
 		sloWindow  = flag.Int("slo-window", def.SLOWindow, "rolling error-budget window in fleet rounds")
@@ -206,10 +214,25 @@ func main() {
 	log.Printf("fleetsim: built %d tenants in %.2fs (strategy=%s forecaster=%s workers=%d)",
 		cfg.Tenants, buildSecs, cfg.Strategy, cfg.Forecaster, cfg.Workers)
 
-	t0 = time.Now()
-	rep, err := ctrl.Run(ctx)
+	stopProfile, err := startCPUProfile(*cpuProfile)
 	if err != nil {
 		log.Fatalf("fleetsim: %v", err)
+	}
+	t0 = time.Now()
+	rep, err := ctrl.Run(ctx)
+	if perr := stopProfile(); perr != nil {
+		log.Fatalf("fleetsim: %v", perr)
+	}
+	if err != nil {
+		log.Fatalf("fleetsim: %v", err)
+	}
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			log.Fatalf("fleetsim: %v", err)
+		}
+		// Keep the fleet live through the snapshot so in-use figures
+		// include its state.
+		runtime.KeepAlive(ctrl)
 	}
 	log.Printf("fleetsim: replayed %d rounds (%d tenant-steps) in %.2fs; violations %.3f%%, cost %d node-steps, fleet hash %s",
 		rep.Rounds, rep.Steps, time.Since(t0).Seconds(),
@@ -303,6 +326,47 @@ func writeMetrics(path string) error {
 	}
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		return fmt.Errorf("writing metrics: %w", err)
+	}
+	return nil
+}
+
+// startCPUProfile starts a CPU profile into path and returns the function
+// that stops it and closes the file; an empty path profiles nothing.
+func startCPUProfile(path string) (func() error, error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("creating CPU profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("starting CPU profile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("writing CPU profile: %w", err)
+		}
+		return nil
+	}, nil
+}
+
+// writeHeapProfile writes a heap profile to path after a collection, so
+// its in-use figures are current.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating heap profile: %w", err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing heap profile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("writing heap profile: %w", err)
 	}
 	return nil
 }

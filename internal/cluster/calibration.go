@@ -25,10 +25,14 @@ var calibrationSkipped = obs.Default.Counter(
 // Every Observe updates, in O(levels) time:
 //
 //   - per-level observed coverage (fraction of actuals at or below the
-//     level's forecast) exported as robustscale_forecast_coverage{tau=...}
-//     alongside the observed-minus-nominal error gauge, and
-//   - the rolling mean weighted quantile loss, exported as
-//     robustscale_forecast_rolling_wql.
+//     level's forecast), and
+//   - the rolling mean weighted quantile loss.
+//
+// Publish exports them as robustscale_forecast_coverage{tau=...}
+// alongside the observed-minus-nominal error gauge, and as
+// robustscale_forecast_rolling_wql. The gauges are process-wide, so a
+// single-tenant loop publishes after every Observe while a fleet
+// publishes once per tenant-round and the gauges show the last writer.
 //
 // Calibration is safe for concurrent use, though the control loop is its
 // only writer in practice.
@@ -120,10 +124,10 @@ func NewCalibration(levels []float64, window int) (*Calibration, error) {
 func (c *Calibration) Levels() []float64 { return append([]float64(nil), c.levels...) }
 
 // Observe feeds one realized workload and the quantile row that was
-// forecast for its step (values aligned with the tracker's levels), then
-// refreshes the exported gauges. A non-finite actual or quantile value is
-// skipped and counted rather than admitted: a single NaN in a rolling sum
-// would poison coverage and wQL for a full window length.
+// forecast for its step (values aligned with the tracker's levels) into
+// the window; Publish exports the result. A non-finite actual or quantile
+// value is skipped and counted rather than admitted: a single NaN in a
+// rolling sum would poison coverage and wQL for a full window length.
 func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 	if len(quantiles) != len(c.levels) {
 		return fmt.Errorf("cluster: %d quantile values for %d calibration levels", len(quantiles), len(c.levels))
@@ -167,16 +171,34 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 		c.pinball[i] += pinballLoss(tau, actual, quantiles[i])
 	}
 	c.next = (c.next + 1) % c.window
+	return nil
+}
 
-	n := float64(c.count)
+// Publish exports the window's coverage, coverage error, rolling wQL and
+// sample count to the gauges. It leaves them untouched while the window
+// is empty.
+func (c *Calibration) Publish() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.count == 0 {
+		return
+	}
 	for i, tau := range c.levels {
-		cov := float64(c.covered[i]) / n
+		cov := c.coverageOf(i)
 		c.coverage[i].Set(cov)
 		c.covError[i].Set(cov - tau)
 	}
 	c.wql.Set(c.rollingWQL())
-	c.samples.Set(n)
-	return nil
+	c.samples.Set(float64(c.count))
+}
+
+// coverageOf is the observed coverage of level i, 0 for an empty window;
+// callers hold the lock.
+func (c *Calibration) coverageOf(i int) float64 {
+	if c.count == 0 {
+		return 0
+	}
+	return float64(c.covered[i]) / float64(c.count)
 }
 
 // rollingWQL computes the mean over levels of 2*QL_tau/sum(actuals) for
@@ -203,10 +225,8 @@ func (c *Calibration) Snapshot() CalibrationSnapshot {
 		Steps:    c.count,
 		Skipped:  c.skipped,
 	}
-	if c.count > 0 {
-		for i := range c.levels {
-			snap.Coverage[i] = float64(c.covered[i]) / float64(c.count)
-		}
+	for i := range c.levels {
+		snap.Coverage[i] = c.coverageOf(i)
 	}
 	return snap
 }
@@ -215,21 +235,25 @@ func (c *Calibration) Snapshot() CalibrationSnapshot {
 // unhealthy when any level's observed rolling coverage falls more than
 // slack below its nominal level, or (when maxWQL > 0) the rolling wQL
 // exceeds maxWQL. The verdict withholds judgment — stays healthy — until
-// the window holds at least minSteps observations.
+// the window holds at least minSteps observations. A healthy verdict
+// allocates nothing.
 func (c *Calibration) HealthCheck(slack, maxWQL float64, minSteps int) func() (bool, string) {
 	return func() (bool, string) {
-		snap := c.Snapshot()
-		if snap.Steps < minSteps {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.count < minSteps {
 			return true, ""
 		}
-		for i, tau := range snap.Levels {
-			if snap.Coverage[i] < tau-slack {
+		for i, tau := range c.levels {
+			if cov := c.coverageOf(i); cov < tau-slack {
 				return false, fmt.Sprintf("rolling coverage of q%g is %.3f, below %.3f (nominal - slack)",
-					tau, snap.Coverage[i], tau-slack)
+					tau, cov, tau-slack)
 			}
 		}
-		if maxWQL > 0 && snap.WQL > maxWQL {
-			return false, fmt.Sprintf("rolling wQL %.4f above limit %.4f", snap.WQL, maxWQL)
+		if maxWQL > 0 {
+			if wql := c.rollingWQL(); wql > maxWQL {
+				return false, fmt.Sprintf("rolling wQL %.4f above limit %.4f", wql, maxWQL)
+			}
 		}
 		return true, ""
 	}

@@ -68,5 +68,6 @@ func LoadCalibration(r io.Reader) (*Calibration, error) {
 	c.mu.Lock()
 	c.skipped = st.Skipped
 	c.mu.Unlock()
+	c.Publish()
 	return c, nil
 }

@@ -113,3 +113,69 @@ func TestCalibrationRollingEviction(t *testing.T) {
 		t.Errorf("rolling wQL = %v, want %v", snap.WQL, wantWQL)
 	}
 }
+
+// TestCalibrationPublishMatchesSnapshot replays the daemon's call order —
+// Observe then Publish for every step, skipped non-finite samples and
+// window eviction included — and requires the four exported gauges to
+// equal Snapshot after each step. Observe alone must leave them alone.
+func TestCalibrationPublishMatchesSnapshot(t *testing.T) {
+	levels := []float64{0.5, 0.9}
+	c, err := NewCalibration(levels, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sentinel = -42
+	for step := 0; step < 12; step++ {
+		actual := 10 + float64(step%5)
+		row := []float64{11 - float64(step%3), 14}
+		if step == 5 {
+			actual = math.NaN()
+		}
+		for i := range levels {
+			c.coverage[i].Set(sentinel)
+		}
+		if err := c.Observe(actual, row); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.coverage[0].Value(); got != sentinel {
+			t.Fatalf("step %d: Observe wrote the coverage gauge (%v)", step, got)
+		}
+		c.Publish()
+		snap := c.Snapshot()
+		for i, tau := range levels {
+			if got := c.coverage[i].Value(); got != snap.Coverage[i] {
+				t.Errorf("step %d: coverage{%g} gauge %v, snapshot %v", step, tau, got, snap.Coverage[i])
+			}
+			if got, want := c.covError[i].Value(), snap.Coverage[i]-tau; got != want {
+				t.Errorf("step %d: coverage_error{%g} gauge %v, snapshot %v", step, tau, got, want)
+			}
+		}
+		if got := c.wql.Value(); got != snap.WQL {
+			t.Errorf("step %d: rolling_wql gauge %v, snapshot %v", step, got, snap.WQL)
+		}
+		if got := c.samples.Value(); got != float64(snap.Steps) {
+			t.Errorf("step %d: calibration_samples gauge %v, snapshot %d", step, got, snap.Steps)
+		}
+	}
+}
+
+// TestCalibrationHealthCheckAllocFree pins the per-round cost of the
+// guard's health gate: a healthy verdict allocates nothing.
+func TestCalibrationHealthCheckAllocFree(t *testing.T) {
+	c, err := NewCalibration([]float64{0.5, 0.9}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 8; step++ {
+		if err := c.Observe(10, []float64{12, 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := c.HealthCheck(0.1, 1, 4)
+	if ok, why := check(); !ok {
+		t.Fatalf("healthy window judged unhealthy: %s", why)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { check() }); allocs != 0 {
+		t.Errorf("healthy HealthCheck verdict made %v allocations, want 0", allocs)
+	}
+}

@@ -820,6 +820,9 @@ func (t *Tenant) applyPhase(cfg Config) {
 			}
 		}
 	}
+	if fan != nil && t.cal != nil {
+		t.cal.Publish()
+	}
 	t.prevAlloc = t.alloc
 	t.origin = origin + h
 	t.roundCounter.Inc()

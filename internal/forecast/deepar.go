@@ -376,10 +376,15 @@ func (d *DeepAR) PredictQuantiles(history *timeseries.Series, h int, levels []fl
 	for t := range samples {
 		samples[t] = make([]float64, d.cfg.Samples)
 	}
-	workers := parallel.Workers(d.cfg.Workers, d.cfg.Samples)
-	scratches := make([]*nn.Scratch, workers)
-	for i := range scratches {
-		scratches[i] = nn.NewScratch()
+	var scratches []*nn.Scratch
+	if h > 1 {
+		// Only a multi-step rollout fans out across workers; a horizon-1
+		// draw runs inline and needs no arenas, so its allocation count
+		// does not depend on the host's CPU count.
+		scratches = make([]*nn.Scratch, parallel.Workers(d.cfg.Workers, d.cfg.Samples))
+		for i := range scratches {
+			scratches[i] = nn.NewScratch()
+		}
 	}
 	d.sample(history, h, state0, emit0, samples, scratches, nil)
 
@@ -473,7 +478,7 @@ func (d *DeepAR) assemble(f *QuantileForecast, samples [][]float64) {
 // fitted weights and the observed history: it is rebuilt on any
 // discontinuity and is never checkpointed (Load drops it).
 type deeparWarm struct {
-	ref    historyRef
+	ref    HistoryRef
 	valid  bool
 	anchor int          // conditioning window start of the cached state
 	next   int          // the state has consumed conditioning inputs for positions [anchor, next)
@@ -503,7 +508,7 @@ func (d *DeepAR) SetSampleBudget(hook func(full int) int) { d.warm.budget = hook
 // are shape caches, not state.
 func (d *DeepAR) WarmReset() {
 	d.warm.valid = false
-	d.warm.ref.reset()
+	d.warm.ref.Reset()
 }
 
 // PredictQuantilesWarm implements IncrementalForecaster. When the history
@@ -546,7 +551,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	// origin resumes from.
 	state := nn.LSTMState{H: w.state.H, C: w.state.C}
 	from := w.next
-	if !w.valid || w.anchor != anchor || w.next > n+1 || !w.ref.extends(history) {
+	if !w.valid || w.anchor != anchor || w.next > n+1 || !w.ref.Extends(history) {
 		state = d.cell.NewLSTMStateScratch(sc)
 		from = anchor
 	}
@@ -558,7 +563,7 @@ func (d *DeepAR) PredictQuantilesWarm(history *timeseries.Series, h int, levels 
 	w.state.H = append(w.state.H[:0], state.H...)
 	w.state.C = append(w.state.C[:0], state.C...)
 	w.anchor, w.next = anchor, n+1
-	w.ref.record(history)
+	w.ref.Record(history)
 	w.valid = true
 
 	paths := d.cfg.Samples

@@ -182,11 +182,13 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// setState transitions and mirrors the state into the gauge; callers
-// hold b.mu.
+// setState transitions and mirrors a state change into the gauge;
+// callers hold b.mu.
 func (b *Breaker) setState(s BreakerState) {
+	if s != b.state {
+		breakerState.Set(float64(s))
+	}
 	b.state = s
-	breakerState.Set(float64(s))
 }
 
 // Applier drives one scale action through retry-with-backoff and the

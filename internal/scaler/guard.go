@@ -134,6 +134,9 @@ type Guard struct {
 	lastGoodFan  *forecast.QuantileForecast
 	lastDecision *obs.Decision
 	fallback     Strategy
+	// finite is the longest history proven all-finite so far; an
+	// append-extension of it only needs its new suffix scanned.
+	finite forecast.HistoryRef
 	// degradedRounds counts rounds that engaged any fallback mode.
 	degradedRounds int
 }
@@ -319,9 +322,20 @@ func (g *Guard) fallbackStrategy(cfg GuardConfig) Strategy {
 // finite: non-finite observations (telemetry dropout) are repaired on a
 // copy by carrying the last finite value forward (backward for a
 // non-finite prefix). A fully finite history — the overwhelmingly common
-// case — is passed through untouched, same pointer.
+// case — is passed through untouched, same pointer. An append-extension
+// of the last history proven finite (the warm forecasters' HistoryRef
+// contract) has only its new suffix scanned; any other history is
+// scanned in full.
 func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 	if s == nil {
+		return s
+	}
+	from := 0
+	if g.finite.Extends(s) {
+		from = g.finite.Len()
+	}
+	if allFinite(s.Values[from:]) {
+		g.finite.Record(s)
 		return s
 	}
 	bad := 0
@@ -329,9 +343,6 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 		if !isFinite(v) {
 			bad++
 		}
-	}
-	if bad == 0 {
-		return s
 	}
 	out := s.Clone()
 	last, haveLast := 0.0, false
@@ -436,27 +447,35 @@ func planFromFan(fan *forecast.QuantileForecast, h int, tau, theta float64) ([]i
 }
 
 // storeLastGood retains a deep copy of a healthy (or repaired) fan for
-// the last-known-good rung.
+// the last-known-good rung, copying into the retained fan's buffers.
 func (g *Guard) storeLastGood(fan *forecast.QuantileForecast) {
 	if fan == nil || fan.Horizon() == 0 {
 		return
 	}
-	c := &forecast.QuantileForecast{
-		Levels: append([]float64(nil), fan.Levels...),
-		Values: make([][]float64, len(fan.Values)),
-		Mean:   append([]float64(nil), fan.Mean...),
+	c := g.lastGoodFan
+	if c == nil {
+		c = &forecast.QuantileForecast{}
+		g.lastGoodFan = c
 	}
+	c.Levels = append(c.Levels[:0], fan.Levels...)
+	c.Mean = append(c.Mean[:0], fan.Mean...)
+	if cap(c.Values) < len(fan.Values) {
+		c.Values = make([][]float64, len(fan.Values))
+	}
+	c.Values = c.Values[:len(fan.Values)]
 	for t, row := range fan.Values {
-		c.Values[t] = append([]float64(nil), row...)
+		c.Values[t] = append(c.Values[t][:0], row...)
 	}
-	g.lastGoodFan = c
 }
 
-// enterMode records a degraded round in the gauge, counters and journal.
+// enterMode records a degraded round in the counters and journal, and a
+// rung change in the gauge.
 func (g *Guard) enterMode(mode DegradationMode, reason string) {
+	if mode != g.mode {
+		degradationMode.Set(float64(mode))
+	}
 	g.mode = mode
 	g.lastReason = reason
-	degradationMode.Set(float64(mode))
 	if mode == ModeNormal {
 		return
 	}
@@ -474,11 +493,11 @@ func (g *Guard) recover() {
 		obs.DefaultJournal.RecordAt(g.now(), "recovered",
 			fmt.Sprintf("guard recovered to normal from %s", g.mode),
 			map[string]float64{"mode": 0})
+		degradationMode.Set(0)
 	}
 	g.mode = ModeNormal
 	g.lastReason = ""
 	g.lastDecision = nil
-	degradationMode.Set(0)
 }
 
 func (g *Guard) now() time.Time {

@@ -363,3 +363,30 @@ func TestGuardLadderReentry(t *testing.T) {
 		t.Errorf("second outage replans %v, want the refreshed fan's %v", replay, healthy2)
 	}
 }
+
+// TestGuardStoreLastGoodReusesBuffers checks the retained fan is an
+// independent copy of the latest stored fan as horizons shrink and grow,
+// even though its buffers are reused from round to round.
+func TestGuardStoreLastGoodReusesBuffers(t *testing.T) {
+	fanOf := func(h int, v float64) *forecast.QuantileForecast {
+		f := &forecast.QuantileForecast{Levels: []float64{0.5, 0.9}}
+		for i := 0; i < h; i++ {
+			f.Values = append(f.Values, []float64{v + float64(i), v + float64(i) + 1})
+			f.Mean = append(f.Mean, v+float64(i))
+		}
+		return f
+	}
+	g := &Guard{}
+	for _, h := range []int{3, 2, 4} {
+		src := fanOf(h, float64(10*h))
+		want := fanOf(h, float64(10*h))
+		g.storeLastGood(src)
+		for _, row := range src.Values {
+			row[0] = math.NaN() // a scratch fan the forecaster overwrites next round
+		}
+		src.Mean[0] = math.NaN()
+		if !reflect.DeepEqual(g.lastGoodFan, want) {
+			t.Fatalf("horizon %d: retained fan %+v, want %+v", h, g.lastGoodFan, want)
+		}
+	}
+}

@@ -103,7 +103,8 @@ func (b *Breaker) Load(r io.Reader) error {
 	b.mu.Lock()
 	b.failures = st.Failures
 	b.openedAt = st.OpenedAt
-	b.setState(BreakerState(st.State))
+	b.state = BreakerState(st.State)
+	breakerState.Set(float64(b.state))
 	b.mu.Unlock()
 	return nil
 }

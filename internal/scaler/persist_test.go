@@ -103,3 +103,64 @@ func TestBreakerLoadRejectsGarbage(t *testing.T) {
 		t.Error("garbage should fail")
 	}
 }
+
+// TestLoadPublishesRestoredState pins the gauge contract of a restart:
+// the shared breaker and degradation gauges are written only on state
+// changes, so Load must publish the restored state even when it differs
+// from whatever another breaker or guard last wrote.
+func TestLoadPublishesRestoredState(t *testing.T) {
+	open := &Breaker{Threshold: 1}
+	open.Failure(time.Unix(100, 0))
+	var bbuf bytes.Buffer
+	if err := open.Save(&bbuf); err != nil {
+		t.Fatal(err)
+	}
+	breakerState.Set(0)
+	restored := &Breaker{Threshold: 1}
+	if err := restored.Load(&bbuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := breakerState.Value(); got != float64(BreakerOpen) {
+		t.Fatalf("apply_breaker_state after restoring an open breaker = %v, want 1", got)
+	}
+	restored.Success()
+	if got := breakerState.Value(); got != float64(BreakerClosed) {
+		t.Fatalf("apply_breaker_state after Success = %v, want 0", got)
+	}
+	var closedBuf bytes.Buffer
+	if err := restored.Save(&closedBuf); err != nil {
+		t.Fatal(err)
+	}
+	breakerState.Set(float64(BreakerOpen))
+	if err := (&Breaker{}).Load(&closedBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := breakerState.Value(); got != float64(BreakerClosed) {
+		t.Fatalf("apply_breaker_state after restoring a closed breaker = %v, want 0", got)
+	}
+
+	degraded := &Guard{Inner: &ReactiveMax{Window: 4, Theta: 5}}
+	degraded.mode = ModeReactive
+	var gbuf bytes.Buffer
+	if err := degraded.Save(&gbuf); err != nil {
+		t.Fatal(err)
+	}
+	degradationMode.Set(0)
+	g := &Guard{Inner: &ReactiveMax{Window: 4, Theta: 5}}
+	if err := g.Load(&gbuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := degradationMode.Value(); got != float64(ModeReactive) {
+		t.Fatalf("degradation_mode after restoring a reactive guard = %v, want 3", got)
+	}
+	var normalBuf bytes.Buffer
+	if err := (&Guard{}).Save(&normalBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Guard{}).Load(&normalBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := degradationMode.Value(); got != float64(ModeNormal) {
+		t.Fatalf("degradation_mode after restoring a normal guard = %v, want 0", got)
+	}
+}

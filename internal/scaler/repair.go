@@ -87,6 +87,15 @@ func RepairFan(f *forecast.QuantileForecast, maxValue float64) (int, error) {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if !isFinite(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // nearestFinite returns the finite row value closest to index i.
 func nearestFinite(row []float64, i int) (float64, bool) {
 	for d := 1; d < len(row); d++ {
