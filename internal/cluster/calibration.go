@@ -28,11 +28,13 @@ var calibrationSkipped = obs.Default.Counter(
 //     level's forecast), and
 //   - the rolling mean weighted quantile loss.
 //
-// Publish exports them as robustscale_forecast_coverage{tau=...}
-// alongside the observed-minus-nominal error gauge, and as
+// ObserveAll feeds a round's steps under one lock. Publish exports them
+// as robustscale_forecast_coverage{tau=...} alongside the
+// observed-minus-nominal error gauge, and as
 // robustscale_forecast_rolling_wql. The gauges are process-wide, so a
 // single-tenant loop publishes after every Observe while a fleet
-// publishes once per tenant-round and the gauges show the last writer.
+// observes and publishes once per tenant-round and the gauges show the
+// last writer.
 //
 // Calibration is safe for concurrent use, though the control loop is its
 // only writer in practice.
@@ -41,8 +43,8 @@ type Calibration struct {
 	window int
 
 	mu        sync.Mutex
-	actuals   []float64   // ring of realized workloads
-	preds     [][]float64 // ring of quantile rows, aligned with levels
+	actuals   []float64 // ring of realized workloads
+	preds     []float64 // ring of quantile rows, len(levels) apart, aligned with levels
 	next      int
 	count     int
 	covered   []int     // per level: covered steps currently in window
@@ -89,12 +91,9 @@ func NewCalibration(levels []float64, window int) (*Calibration, error) {
 		levels:  append([]float64(nil), levels...),
 		window:  window,
 		actuals: make([]float64, window),
-		preds:   make([][]float64, window),
+		preds:   make([]float64, window*len(levels)),
 		covered: make([]int, len(levels)),
 		pinball: make([]float64, len(levels)),
-	}
-	for i := range c.preds {
-		c.preds[i] = make([]float64, len(levels))
 	}
 	covVec := obs.Default.GaugeVec(
 		"robustscale_forecast_coverage",
@@ -132,6 +131,35 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 	if len(quantiles) != len(c.levels) {
 		return fmt.Errorf("cluster: %d quantile values for %d calibration levels", len(quantiles), len(c.levels))
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.observe(actual, quantiles)
+	return nil
+}
+
+// ObserveAll feeds actuals[i] with rows[i] for every i, exactly as that
+// many Observe calls would, under one lock. Every row's length is
+// checked first, so an error leaves the window untouched.
+func (c *Calibration) ObserveAll(actuals []float64, rows [][]float64) error {
+	if len(actuals) != len(rows) {
+		return fmt.Errorf("cluster: %d actuals for %d quantile rows", len(actuals), len(rows))
+	}
+	for i, row := range rows {
+		if len(row) != len(c.levels) {
+			return fmt.Errorf("cluster: row %d has %d quantile values for %d calibration levels", i, len(row), len(c.levels))
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, row := range rows {
+		c.observe(actuals[i], row)
+	}
+	return nil
+}
+
+// observe admits one step whose row length was checked; callers hold
+// the lock.
+func (c *Calibration) observe(actual float64, quantiles []float64) {
 	finite := !math.IsNaN(actual) && !math.IsInf(actual, 0)
 	for _, q := range quantiles {
 		if math.IsNaN(q) || math.IsInf(q, 0) {
@@ -139,30 +167,28 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 			break
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !finite {
 		c.skipped++
 		calibrationSkipped.Inc()
-		return nil
+		return
 	}
 
+	row := c.preds[c.next*len(c.levels) : (c.next+1)*len(c.levels)]
 	if c.count == c.window {
 		// Evict the oldest observation from the running sums.
 		old := c.actuals[c.next]
-		oldRow := c.preds[c.next]
 		c.actualSum -= old
 		for i := range c.levels {
-			if oldRow[i] >= old {
+			if row[i] >= old {
 				c.covered[i]--
 			}
-			c.pinball[i] -= pinballLoss(c.levels[i], old, oldRow[i])
+			c.pinball[i] -= pinballLoss(c.levels[i], old, row[i])
 		}
 	} else {
 		c.count++
 	}
 	c.actuals[c.next] = actual
-	copy(c.preds[c.next], quantiles)
+	copy(row, quantiles)
 	c.actualSum += actual
 	for i, tau := range c.levels {
 		if quantiles[i] >= actual {
@@ -171,7 +197,6 @@ func (c *Calibration) Observe(actual float64, quantiles []float64) error {
 		c.pinball[i] += pinballLoss(tau, actual, quantiles[i])
 	}
 	c.next = (c.next + 1) % c.window
-	return nil
 }
 
 // Publish exports the window's coverage, coverage error, rolling wQL and

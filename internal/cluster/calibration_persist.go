@@ -28,10 +28,11 @@ func (c *Calibration) Save(w io.Writer) error {
 		Window:  c.window,
 		Skipped: c.skipped,
 	}
+	l := len(c.levels)
 	for i := 0; i < c.count; i++ {
 		idx := (c.next - c.count + i + c.window) % c.window
 		st.Actuals = append(st.Actuals, c.actuals[idx])
-		st.Preds = append(st.Preds, append([]float64(nil), c.preds[idx]...))
+		st.Preds = append(st.Preds, append([]float64(nil), c.preds[idx*l:(idx+1)*l]...))
 	}
 	c.mu.Unlock()
 	if err := gob.NewEncoder(w).Encode(st); err != nil {

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -177,5 +180,115 @@ func TestCalibrationHealthCheckAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { check() }); allocs != 0 {
 		t.Errorf("healthy HealthCheck verdict made %v allocations, want 0", allocs)
+	}
+}
+
+// calibrationImage is everything a window exposes: its snapshot
+// (coverage, wQL, steps, skipped) and its checkpoint bytes.
+func calibrationImage(t *testing.T, c *Calibration) (CalibrationSnapshot, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return c.Snapshot(), buf.Bytes()
+}
+
+// TestCalibrationObserveAllMatchesObserve feeds the same rounds — some
+// with a NaN actual, a NaN or an infinite quantile — through ObserveAll
+// and through an Observe loop, across window wrap-around, and requires
+// identical snapshots, skipped counts and Save bytes after every round.
+func TestCalibrationObserveAllMatchesObserve(t *testing.T) {
+	levels := []float64{0.1, 0.5, 0.9}
+	all, err := NewCalibration(levels, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := NewCalibration(levels, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 20; round++ {
+		k := rng.Intn(6) // includes empty rounds
+		actuals := make([]float64, k)
+		rows := make([][]float64, k)
+		for i := range rows {
+			actuals[i] = 5 + 10*rng.Float64()
+			base := 4 + 10*rng.Float64()
+			rows[i] = []float64{base, base + 2*rng.Float64(), base + 2 + 3*rng.Float64()}
+			switch rng.Intn(8) {
+			case 0:
+				actuals[i] = math.NaN()
+			case 1:
+				rows[i][1] = math.NaN()
+			case 2:
+				rows[i][2] = math.Inf(1)
+			}
+		}
+		if err := all.ObserveAll(actuals, rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			if err := loop.Observe(actuals[i], rows[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotSnap, gotBytes := calibrationImage(t, all)
+		wantSnap, wantBytes := calibrationImage(t, loop)
+		if !reflect.DeepEqual(gotSnap, wantSnap) {
+			t.Fatalf("round %d: ObserveAll snapshot %+v, Observe loop %+v", round, gotSnap, wantSnap)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("round %d: ObserveAll and the Observe loop save different bytes", round)
+		}
+	}
+	if snap := all.Snapshot(); snap.Skipped == 0 || snap.Steps != 7 {
+		t.Fatalf("skipped %d, steps %d: want some skipped rows and a full window", snap.Skipped, snap.Steps)
+	}
+}
+
+// TestCalibrationObserveAllRowLengthError checks every row before
+// admitting any: a short row anywhere in the round leaves the window,
+// the skipped count and the Save bytes untouched.
+func TestCalibrationObserveAllRowLengthError(t *testing.T) {
+	c, err := NewCalibration([]float64{0.5, 0.9}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ObserveAll([]float64{10, 11}, [][]float64{{9, 12}, {10, 13}}); err != nil {
+		t.Fatal(err)
+	}
+	beforeSnap, beforeBytes := calibrationImage(t, c)
+	bad := [][]float64{{9, 12}, {math.NaN(), 13}, {10}}
+	if err := c.ObserveAll([]float64{10, 11, 12}, bad); err == nil {
+		t.Fatal("a row with the wrong number of quantiles was accepted")
+	}
+	if err := c.ObserveAll([]float64{10}, [][]float64{{9, 12}, {10, 13}}); err == nil {
+		t.Fatal("more rows than actuals was accepted")
+	}
+	afterSnap, afterBytes := calibrationImage(t, c)
+	if !reflect.DeepEqual(afterSnap, beforeSnap) || !bytes.Equal(afterBytes, beforeBytes) {
+		t.Fatalf("a rejected round changed the window: %+v, was %+v", afterSnap, beforeSnap)
+	}
+}
+
+// TestCalibrationObserveAllAllocFree pins the fleet's per-round
+// calibration cost: observing a round into a full window allocates
+// nothing.
+func TestCalibrationObserveAllAllocFree(t *testing.T) {
+	c, err := NewCalibration([]float64{0.5, 0.9}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actuals := []float64{10, 11, 12}
+	rows := [][]float64{{9, 12}, {10, 13}, {11, 14}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.ObserveAll(actuals, rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveAll made %v allocations, want 0", allocs)
 	}
 }

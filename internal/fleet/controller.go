@@ -813,14 +813,15 @@ func (t *Tenant) applyPhase(cfg Config) {
 		}
 		t.steps++
 		t.cursor++
-		if fan != nil && t.cal != nil && i < fan.Horizon() {
-			if cerr := t.cal.Observe(w, fan.Step(i)); cerr != nil {
-				t.err = fmt.Errorf("fleet: %s calibration at %d: %w", t.ID, origin+i, cerr)
-				return
-			}
-		}
 	}
 	if fan != nil && t.cal != nil {
+		// The round's realized workloads against the fan rows that
+		// forecast them, observed under one lock.
+		k := min(len(plan), fan.Horizon())
+		if cerr := t.cal.ObserveAll(t.series.Values[origin:origin+k], fan.Values[:k]); cerr != nil {
+			t.err = fmt.Errorf("fleet: %s calibration at %d: %w", t.ID, origin, cerr)
+			return
+		}
 		t.cal.Publish()
 	}
 	t.prevAlloc = t.alloc

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -24,10 +23,15 @@ const sketchZeroCutoff = 1e-12
 // relative error (DDSketch-style). Observations land in logarithmic
 // buckets of width γ = (1+α)/(1-α); a quantile query returns the bucket
 // midpoint, which is within ±α of the true sample value at that rank.
-// Memory is O(distinct buckets) — for α = 1%, a signal spanning six
-// decades needs under 700 buckets — independent of the observation
-// count, so a 10k-tenant fleet can keep per-shard distributions without
-// ever materializing (or sorting) per-tenant slices.
+// Each sign keeps its bucket counts in one dense slice spanning the
+// observed key range, so memory is O(observed key range) — about
+// ln(max/min)/(2α) buckets per sign: for α = 1%, a signal spanning six
+// decades needs under 700 — independent of the observation count, so a
+// 10k-tenant fleet can keep per-shard distributions without ever
+// materializing (or sorting) per-tenant slices. The worst case is a
+// sign that sees both the ±Inf clamp (±MaxFloat64) and a magnitude just
+// above the 1e-12 zero cutoff: about 368.5/α buckets, 36.9k (295 KB) per
+// sign at α = 1%.
 //
 // Two sketches with the same α merge exactly: Merge adds bucket counts,
 // so Observe-then-Merge in any grouping yields the same buckets as
@@ -40,12 +44,56 @@ type Sketch struct {
 	gamma float64 // (1+α)/(1-α)
 	lnG   float64 // ln(γ), cached for indexing
 	zero  uint64  // observations with |v| <= sketchZeroCutoff
-	pos   map[int32]uint64
-	neg   map[int32]uint64
+	pos   sketchStore
+	neg   sketchStore // keyed by magnitude
 	count uint64
 	sum   float64
 	min   float64
 	max   float64
+}
+
+// sketchStore holds one sign's bucket counts densely: counts[i] is the
+// count of bucket lo+i, so occupied buckets come out sorted by key.
+type sketchStore struct {
+	lo     int32
+	counts []uint64
+	nz     int // buckets with a non-zero count
+}
+
+// add adds n to bucket k, widening the dense range to cover k.
+func (d *sketchStore) add(k int32, n uint64) {
+	if n == 0 {
+		return
+	}
+	switch {
+	case len(d.counts) == 0:
+		d.lo, d.counts = k, make([]uint64, 1)
+	case k < d.lo:
+		grow := int(d.lo) - int(k)
+		c := make([]uint64, grow+len(d.counts))
+		copy(c[grow:], d.counts)
+		d.lo, d.counts = k, c
+	case int(k)-int(d.lo) >= len(d.counts):
+		d.counts = append(d.counts, make([]uint64, int(k)-int(d.lo)+1-len(d.counts))...)
+	}
+	i := int(k) - int(d.lo)
+	if d.counts[i] == 0 {
+		d.nz++
+	}
+	d.counts[i] += n
+}
+
+// snapshot returns the occupied keys ascending with their counts.
+func (d *sketchStore) snapshot() ([]int32, []uint64) {
+	keys := make([]int32, 0, d.nz)
+	counts := make([]uint64, 0, d.nz)
+	for i, c := range d.counts {
+		if c > 0 {
+			keys = append(keys, d.lo+int32(i))
+			counts = append(counts, c)
+		}
+	}
+	return keys, counts
 }
 
 // NewSketch returns an empty sketch with the given relative accuracy
@@ -56,10 +104,7 @@ func NewSketch(alpha float64) *Sketch {
 		panic(fmt.Sprintf("obs: sketch relative accuracy %v outside (0, 1)", alpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{
-		alpha: alpha, gamma: gamma, lnG: math.Log(gamma),
-		pos: map[int32]uint64{}, neg: map[int32]uint64{},
-	}
+	return &Sketch{alpha: alpha, gamma: gamma, lnG: math.Log(gamma)}
 }
 
 // RelativeAccuracy returns the sketch's configured α.
@@ -107,9 +152,9 @@ func (s *Sketch) ObserveN(v float64, n uint64) {
 	s.sum += v * float64(n)
 	switch {
 	case v > sketchZeroCutoff:
-		s.pos[s.key(v)] += n
+		s.pos.add(s.key(v), n)
 	case v < -sketchZeroCutoff:
-		s.neg[s.key(-v)] += n
+		s.neg.add(s.key(-v), n)
 	default:
 		s.zero += n
 	}
@@ -148,7 +193,7 @@ func (s *Sketch) Max() float64 {
 func (s *Sketch) Buckets() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.pos) + len(s.neg)
+	n := s.pos.nz + s.neg.nz
 	if s.zero > 0 {
 		n++
 	}
@@ -181,10 +226,10 @@ func (s *Sketch) Merge(o *Sketch) error {
 	s.sum += snap.Sum
 	s.zero += snap.Zero
 	for i, k := range snap.PosKeys {
-		s.pos[k] += snap.PosCounts[i]
+		s.pos.add(k, snap.PosCounts[i])
 	}
 	for i, k := range snap.NegKeys {
-		s.neg[k] += snap.NegCounts[i]
+		s.neg.add(k, snap.NegCounts[i])
 	}
 	return nil
 }
@@ -213,39 +258,28 @@ func (s *Sketch) Percentile(p float64) float64 {
 	// Ascending walk: negative buckets from the largest magnitude down,
 	// then zero, then positive buckets up.
 	var cum int64
-	negKeys := sortedKeys(s.neg)
-	for i := len(negKeys) - 1; i >= 0; i-- {
-		cum += int64(s.neg[negKeys[i]])
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		cum += int64(s.neg.counts[i])
 		if cum > rank {
-			return -s.value(negKeys[i])
+			return -s.value(s.neg.lo + int32(i))
 		}
 	}
 	cum += int64(s.zero)
 	if cum > rank {
 		return 0
 	}
-	posKeys := sortedKeys(s.pos)
-	for _, k := range posKeys {
-		cum += int64(s.pos[k])
+	for i, c := range s.pos.counts {
+		cum += int64(c)
 		if cum > rank {
-			return s.value(k)
+			return s.value(s.pos.lo + int32(i))
 		}
 	}
 	return s.max // unreachable unless counts drifted; fail soft
 }
 
-func sortedKeys(m map[int32]uint64) []int32 {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // SketchSnapshot is a point-in-time copy of a sketch's buckets with keys
 // sorted ascending — deterministic, directly serializable, and the gob
-// image Save writes (map iteration order never leaks into the encoding).
+// image Save writes.
 type SketchSnapshot struct {
 	Alpha     float64
 	Count     uint64
@@ -266,16 +300,8 @@ func (s *Sketch) Snapshot() SketchSnapshot {
 		Alpha: s.alpha, Count: s.count, Sum: s.sum,
 		Min: s.min, Max: s.max, Zero: s.zero,
 	}
-	snap.PosKeys = sortedKeys(s.pos)
-	snap.PosCounts = make([]uint64, len(snap.PosKeys))
-	for i, k := range snap.PosKeys {
-		snap.PosCounts[i] = s.pos[k]
-	}
-	snap.NegKeys = sortedKeys(s.neg)
-	snap.NegCounts = make([]uint64, len(snap.NegKeys))
-	for i, k := range snap.NegKeys {
-		snap.NegCounts[i] = s.neg[k]
-	}
+	snap.PosKeys, snap.PosCounts = s.pos.snapshot()
+	snap.NegKeys, snap.NegCounts = s.neg.snapshot()
 	return snap
 }
 
@@ -288,7 +314,10 @@ func (s *Sketch) Save(w io.Writer) error {
 }
 
 // Load replaces the receiver's contents with a snapshot written by Save.
-// The snapshot's relative accuracy must match the receiver's.
+// The snapshot's relative accuracy must match the receiver's, and every
+// key must be one Observe can produce at that accuracy (a magnitude in
+// (1e-12, MaxFloat64]), which bounds the dense bucket range. A repeated
+// key keeps its last count; zero-count buckets are dropped.
 func (s *Sketch) Load(r io.Reader) error {
 	var snap SketchSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -300,13 +329,13 @@ func (s *Sketch) Load(r io.Reader) error {
 	if len(snap.PosKeys) != len(snap.PosCounts) || len(snap.NegKeys) != len(snap.NegCounts) {
 		return fmt.Errorf("obs: sketch snapshot keys/counts length mismatch")
 	}
-	pos := make(map[int32]uint64, len(snap.PosKeys))
-	for i, k := range snap.PosKeys {
-		pos[k] = snap.PosCounts[i]
+	pos, err := s.loadStore(snap.PosKeys, snap.PosCounts)
+	if err != nil {
+		return err
 	}
-	neg := make(map[int32]uint64, len(snap.NegKeys))
-	for i, k := range snap.NegKeys {
-		neg[k] = snap.NegCounts[i]
+	neg, err := s.loadStore(snap.NegKeys, snap.NegCounts)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,4 +343,30 @@ func (s *Sketch) Load(r io.Reader) error {
 	s.min, s.max = snap.Min, snap.Max
 	s.pos, s.neg = pos, neg
 	return nil
+}
+
+// loadStore builds one sign's dense store from a snapshot's buckets.
+func (s *Sketch) loadStore(keys []int32, counts []uint64) (sketchStore, error) {
+	var d sketchStore
+	if len(keys) == 0 {
+		return d, nil
+	}
+	minKey, maxKey := s.key(sketchZeroCutoff), s.key(math.MaxFloat64)
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		if k < minKey || k > maxKey {
+			return d, fmt.Errorf("obs: sketch snapshot key %d outside [%d, %d]", k, minKey, maxKey)
+		}
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	d.lo, d.counts = lo, make([]uint64, int(hi)-int(lo)+1)
+	for i, k := range keys {
+		d.counts[k-lo] = counts[i]
+	}
+	for _, c := range d.counts {
+		if c > 0 {
+			d.nz++
+		}
+	}
+	return d, nil
 }

@@ -23,17 +23,17 @@ type TopEntry struct {
 // tracked count. Any key whose true weight exceeds total/k is
 // guaranteed to be present. Eviction is deterministic — ties on the
 // minimum count evict the lexicographically greatest key — so the
-// tracked set depends only on the observation sequence, never on map
-// iteration order. Safe for concurrent use.
+// tracked set depends only on the observation sequence, never on slot
+// order. Safe for concurrent use.
+//
+// The k entries live in one slice, looked up and evicted by a linear
+// scan, and an eviction overwrites the victim's slot in place: cheap
+// and allocation-free for the small k it is meant for (the fleet's
+// worst-tenant lists use 8), O(k) per observation for large k.
 type TopK struct {
 	mu      sync.Mutex
 	k       int
-	entries map[string]*topEntry
-}
-
-type topEntry struct {
-	count float64
-	err   float64
+	entries []TopEntry
 }
 
 // NewTopK returns a tracker keeping at most k keys; k < 1 panics.
@@ -41,7 +41,17 @@ func NewTopK(k int) *TopK {
 	if k < 1 {
 		panic(fmt.Sprintf("obs: top-k capacity %d < 1", k))
 	}
-	return &TopK{k: k, entries: make(map[string]*topEntry, k)}
+	return &TopK{k: k, entries: make([]TopEntry, 0, k)}
+}
+
+// find returns the slot holding key, or -1; callers hold t.mu.
+func (t *TopK) find(key string) int {
+	for i := range t.entries {
+		if t.entries[i].Key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // K returns the tracker capacity.
@@ -54,36 +64,33 @@ func (t *TopK) Observe(key string, w float64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.entries[key]; ok {
-		e.count += w
+	if i := t.find(key); i >= 0 {
+		t.entries[i].Count += w
 		return
 	}
 	if len(t.entries) < t.k {
-		t.entries[key] = &topEntry{count: w}
+		t.entries = append(t.entries, TopEntry{Key: key, Count: w})
 		return
 	}
 	// Evict the minimum-count entry; on ties the lexicographically
 	// greatest key loses, making eviction a total order.
-	var victim string
-	var min float64
-	first := true
-	for k2, e := range t.entries {
-		if first || e.count < min || (e.count == min && k2 > victim) {
-			victim, min, first = k2, e.count, false
+	victim := 0
+	for i := 1; i < len(t.entries); i++ {
+		e, v := &t.entries[i], &t.entries[victim]
+		if e.Count < v.Count || (e.Count == v.Count && e.Key > v.Key) {
+			victim = i
 		}
 	}
-	delete(t.entries, victim)
-	t.entries[key] = &topEntry{count: min + w, err: min}
+	min := t.entries[victim].Count
+	t.entries[victim] = TopEntry{Key: key, Count: min + w, Err: min}
 }
 
 // Top returns up to n entries sorted by count descending, key ascending
 // on ties. n <= 0 or n > k returns all tracked entries.
 func (t *TopK) Top(n int) []TopEntry {
 	t.mu.Lock()
-	out := make([]TopEntry, 0, len(t.entries))
-	for k, e := range t.entries {
-		out = append(out, TopEntry{Key: k, Count: e.count, Err: e.err})
-	}
+	out := make([]TopEntry, len(t.entries))
+	copy(out, t.entries)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -125,13 +132,16 @@ func (t *TopK) Load(r io.Reader) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	entries := make(map[string]*topEntry, t.k)
+	t.entries = t.entries[:0]
 	for _, e := range img.Entries {
-		if len(entries) >= t.k {
+		if len(t.entries) >= t.k {
 			break
 		}
-		entries[e.Key] = &topEntry{count: e.Count, err: e.Err}
+		if i := t.find(e.Key); i >= 0 {
+			t.entries[i] = e
+			continue
+		}
+		t.entries = append(t.entries, e)
 	}
-	t.entries = entries
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"robustscale/internal/obs"
@@ -109,6 +110,12 @@ func (s BreakerState) String() string {
 // Threshold consecutive round failures open it; after Cooldown it lets a
 // half-open probe through, closing on success and reopening on failure.
 // Safe for concurrent use.
+//
+// A closed breaker with no failures — every round of a healthy control
+// plane — answers Allow and Success from an atomic flag without taking
+// the lock. The flag is written under the lock by every transition, so
+// a fast-path call is ordered before or after any concurrent locked one
+// exactly as if it had taken the lock.
 type Breaker struct {
 	// Threshold is the consecutive failure count that opens the breaker
 	// (default 3).
@@ -121,6 +128,9 @@ type Breaker struct {
 	state    BreakerState
 	failures int
 	openedAt time.Time
+	// clean mirrors state == BreakerClosed && failures == 0; written
+	// under mu, read without it.
+	clean atomic.Bool
 }
 
 func (b *Breaker) threshold() int {
@@ -140,6 +150,9 @@ func (b *Breaker) cooldown() time.Duration {
 // Allow reports whether an apply may proceed at the given time, moving
 // an open breaker to half-open once the cooldown has elapsed.
 func (b *Breaker) Allow(now time.Time) bool {
+	if b.clean.Load() {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -156,6 +169,9 @@ func (b *Breaker) Allow(now time.Time) bool {
 
 // Success records a successful apply round, closing the breaker.
 func (b *Breaker) Success() {
+	if b.clean.Load() {
+		return
+	}
 	b.mu.Lock()
 	b.failures = 0
 	b.setState(BreakerClosed)
@@ -173,6 +189,7 @@ func (b *Breaker) Failure(now time.Time) {
 		b.openedAt = now
 		b.setState(BreakerOpen)
 	}
+	b.syncClean()
 }
 
 // State returns the breaker's current position.
@@ -182,13 +199,20 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// setState transitions and mirrors a state change into the gauge;
-// callers hold b.mu.
+// setState transitions and mirrors a state change into the gauge and
+// the fast-path flag; callers hold b.mu.
 func (b *Breaker) setState(s BreakerState) {
 	if s != b.state {
 		breakerState.Set(float64(s))
 	}
 	b.state = s
+	b.syncClean()
+}
+
+// syncClean rewrites the fast-path flag from state and failures;
+// callers hold b.mu.
+func (b *Breaker) syncClean() {
+	b.clean.Store(b.state == BreakerClosed && b.failures == 0)
 }
 
 // Applier drives one scale action through retry-with-backoff and the

@@ -137,6 +137,12 @@ type Guard struct {
 	// finite is the longest history proven all-finite so far; an
 	// append-extension of it only needs its new suffix scanned.
 	finite forecast.HistoryRef
+	// peak caches sanityBound's trailing maximum over finite's history
+	// or one it extends: peakAt is its first index, peakFrom and peakLen
+	// the scanned range. peakLen == 0 means no cache.
+	peak              float64
+	peakAt            int
+	peakFrom, peakLen int
 	// degradedRounds counts rounds that engaged any fallback mode.
 	degradedRounds int
 }
@@ -229,7 +235,7 @@ func (g *Guard) plan(history *timeseries.Series, h int, dst []int, fast bool) ([
 	if cfg.Tau <= 0 || cfg.Tau >= 1 {
 		return nil, fmt.Errorf("scaler: guard quantile level %v outside (0, 1)", cfg.Tau)
 	}
-	hist := g.sanitizeHistory(history)
+	hist, chained := g.sanitizeHistory(history)
 	if g.Health != nil {
 		if ok, why := g.Health(); !ok {
 			return g.fallbackPlan(hist, h, cfg, "calibration breach: "+why)
@@ -245,7 +251,7 @@ func (g *Guard) plan(history *timeseries.Series, h int, dst []int, fast bool) ([
 	if err != nil {
 		return g.fallbackPlan(hist, h, cfg, fmt.Sprintf("forecaster error: %v", err))
 	}
-	bound := g.sanityBound(hist, cfg)
+	bound := g.sanityBound(hist, cfg, chained)
 	var fan *forecast.QuantileForecast
 	if fp, ok := g.Inner.(FanProvider); ok {
 		fan = fp.LastFan()
@@ -325,18 +331,23 @@ func (g *Guard) fallbackStrategy(cfg GuardConfig) Strategy {
 // case — is passed through untouched, same pointer. An append-extension
 // of the last history proven finite (the warm forecasters' HistoryRef
 // contract) has only its new suffix scanned; any other history is
-// scanned in full.
-func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
+// scanned in full. chained reports that the returned history is the
+// caller's, now recorded in finite. The sanity-bound cache always
+// describes finite's history or one it extends: a history that fails
+// the Extends check drops it.
+func (g *Guard) sanitizeHistory(s *timeseries.Series) (hist *timeseries.Series, chained bool) {
 	if s == nil {
-		return s
+		return s, false
 	}
 	from := 0
 	if g.finite.Extends(s) {
 		from = g.finite.Len()
+	} else {
+		g.peakLen = 0
 	}
 	if allFinite(s.Values[from:]) {
 		g.finite.Record(s)
-		return s
+		return s, true
 	}
 	bad := 0
 	for _, v := range s.Values {
@@ -361,7 +372,7 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 		// No finite observation at all; zeros make downstream strategies
 		// hold the one-node floor instead of propagating NaN.
 		guardTelemetryRepairs.Add(float64(bad))
-		return out
+		return out, false
 	}
 	// Back-fill a non-finite prefix from the first finite value.
 	first := math.NaN()
@@ -382,25 +393,37 @@ func (g *Guard) sanitizeHistory(s *timeseries.Series) *timeseries.Series {
 	obs.DefaultJournal.RecordAt(g.now(), "degraded",
 		fmt.Sprintf("guard repaired %d non-finite telemetry observations", bad),
 		map[string]float64{"repaired": float64(bad)})
-	return out
+	return out, false
 }
 
 // sanityBound returns the blow-up containment ceiling: BlowupFactor
 // times the recent history maximum, or 0 (disabled) without usable
-// history.
-func (g *Guard) sanityBound(hist *timeseries.Series, cfg GuardConfig) float64 {
+// history. On a chained history whose cached peak is still inside the
+// window and still holds its value, only the appended suffix is
+// scanned; otherwise the whole window is, exactly as a fresh guard
+// would. Both find the same first maximum, so the bound is bit-equal.
+// Only a chained history's scan is cached.
+func (g *Guard) sanityBound(hist *timeseries.Series, cfg GuardConfig, chained bool) float64 {
 	if cfg.BlowupFactor < 0 || hist == nil || hist.Len() == 0 {
 		return 0
 	}
-	start := hist.Len() - cfg.HistoryWindow
+	n := hist.Len()
+	start := n - cfg.HistoryWindow
 	if start < 0 {
 		start = 0
 	}
-	peak := math.Inf(-1)
-	for i := start; i < hist.Len(); i++ {
-		if v := hist.At(i); v > peak {
-			peak = v
+	from, peak, at := start, math.Inf(-1), -1
+	if chained && g.peakLen > 0 && start >= g.peakFrom && g.peakAt >= start &&
+		hist.Values[g.peakAt] == g.peak {
+		from, peak, at = g.peakLen, g.peak, g.peakAt
+	}
+	for i := from; i < n; i++ {
+		if v := hist.Values[i]; v > peak {
+			peak, at = v, i
 		}
+	}
+	if chained {
+		g.peak, g.peakAt, g.peakFrom, g.peakLen = peak, at, start, n
 	}
 	if !isFinite(peak) || peak <= 0 {
 		return 0

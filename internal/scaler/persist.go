@@ -104,6 +104,7 @@ func (b *Breaker) Load(r io.Reader) error {
 	b.failures = st.Failures
 	b.openedAt = st.OpenedAt
 	b.state = BreakerState(st.State)
+	b.syncClean()
 	breakerState.Set(float64(b.state))
 	b.mu.Unlock()
 	return nil
